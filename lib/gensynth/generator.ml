@@ -8,15 +8,13 @@ type t = {
   runtime_flaws : Flaw.runtime list;
   version : int;
   profile_name : string;
+  grammar : Grammar_kit.Generate.compiled;
 }
 
 type emitted = {
   decls : string list;
   term : string;
 }
-
-let perfect theory =
-  { theory; defects = []; runtime_flaws = []; version = 0; profile_name = "perfect" }
 
 (* ------------------------------------------------------------------ *)
 (* Applying grammar defects                                            *)
@@ -112,9 +110,23 @@ let apply_defect cfg defect =
     let cfg = { cfg with Cfg.productions = cfg.Cfg.productions @ [ unit_join_production ] } in
     Cfg.add_alternative cfg cfg.Cfg.start unit_join_bool_alt
 
-let effective_cfg t =
-  let base = Grammar_kit.Ebnf.parse_exn (Theory.ground_truth_cfg t.theory.Theory.id) in
-  List.fold_left apply_defect base t.defects
+let make ?(defects = []) ?(runtime_flaws = []) ?(version = 0) ?(profile_name = "perfect")
+    theory =
+  let cfg =
+    List.fold_left apply_defect (Theory.ground_truth_grammar theory.Theory.id) defects
+  in
+  {
+    theory;
+    defects;
+    runtime_flaws;
+    version;
+    profile_name;
+    grammar = Grammar_kit.Generate.compile cfg;
+  }
+
+let perfect theory = make theory
+
+let effective_cfg t = Grammar_kit.Generate.cfg t.grammar
 
 (* ------------------------------------------------------------------ *)
 (* Hook interpretation                                                 *)
@@ -255,11 +267,8 @@ let generate_from ?(max_depth = 8) ?width ?order ~start t ~rng =
       order = (match order with Some p -> p | None -> Rng.choose rng orders);
     }
   in
-  let cfg = effective_cfg t in
   let depth = max 3 (Rng.int_in rng (max_depth - 3) max_depth) in
-  match
-    Grammar_kit.Generate.sentence ~max_depth:depth ~cfg ~hook:(hook st) ~rng start
-  with
+  match Grammar_kit.Generate.derive ~max_depth:depth t.grammar ~hook:(hook st) ~rng start with
   | Error msg -> failwith ("generator internal error: " ^ msg)
   | Ok sentence ->
     let term =
@@ -282,8 +291,7 @@ let generate_from ?(max_depth = 8) ?width ?order ~start t ~rng =
     { decls; term }
 
 let generate ?max_depth t ~rng =
-  let cfg = effective_cfg t in
-  generate_from ?max_depth ~start:cfg.Cfg.start t ~rng
+  generate_from ?max_depth ~start:(effective_cfg t).Cfg.start t ~rng
 
 (* The mixed-sorts extension (paper 5.3, future work): emit a term of a
    requested non-Boolean sort by starting the derivation at the matching
@@ -308,12 +316,12 @@ let nonterminal_for_sort sort =
 
 let supports_sort t sort =
   match nonterminal_for_sort sort with
-  | Some (start, _, _) -> Cfg.find (effective_cfg t) start <> None
+  | Some (start, _, _) -> Grammar_kit.Generate.defines t.grammar start
   | None -> false
 
 let generate_of_sort ?max_depth t ~rng sort =
   match nonterminal_for_sort sort with
-  | Some (start, width, order) when Cfg.find (effective_cfg t) start <> None ->
+  | Some (start, width, order) when Grammar_kit.Generate.defines t.grammar start ->
     (match generate_from ?max_depth ?width ?order ~start t ~rng with
     | emitted -> Some emitted
     | exception Failure _ -> None)

@@ -8,12 +8,15 @@
 
 open Theories
 
-type t = {
+type t = private {
   theory : Theory.info;
   defects : Flaw.grammar_defect list;
   runtime_flaws : Flaw.runtime list;
   version : int;  (** refinement iteration that produced this generator *)
   profile_name : string;  (** which LLM profile synthesized it *)
+  grammar : Grammar_kit.Generate.compiled;
+      (** [effective_cfg], compiled once by {!make}; private so that no
+          record update can pair it with other defects *)
 }
 
 type emitted = {
@@ -21,12 +24,24 @@ type emitted = {
   term : string;  (** a Boolean term *)
 }
 
+val make :
+  ?defects:Flaw.grammar_defect list ->
+  ?runtime_flaws:Flaw.runtime list ->
+  ?version:int ->
+  ?profile_name:string ->
+  Theory.info ->
+  t
+(** Applies the defects to the theory's ground-truth grammar and compiles the
+    result. Defaults are those of {!perfect}: no defects or flaws, version 0,
+    profile ["perfect"]. *)
+
 val perfect : Theory.info -> t
 (** Defect-free generator over the ground-truth grammar (what an ideal
     synthesis would produce; used as a test oracle and by ablations). *)
 
 val effective_cfg : t -> Grammar_kit.Cfg.t
-(** Ground-truth grammar with this generator's defects applied. *)
+(** Ground-truth grammar with this generator's defects applied, as compiled
+    into [grammar]. *)
 
 val generate : ?max_depth:int -> t -> rng:O4a_util.Rng.t -> emitted
 

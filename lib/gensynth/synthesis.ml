@@ -67,7 +67,7 @@ let initial_generator ~client theory =
       (Llm_sim.Prompt.Summarize_grammar
          { theory = theory.Theory.name; doc = Theory.doc theory.Theory.id })
   in
-  let base = Grammar_kit.Ebnf.parse_exn (Theory.ground_truth_cfg theory.Theory.id) in
+  let base = Theory.ground_truth_grammar theory.Theory.id in
   let difficulty = theory.Theory.difficulty in
   let rng =
     Llm_sim.Client.rng_for client ("summarize:" ^ theory.Theory.key)
@@ -113,13 +113,8 @@ let initial_generator ~client theory =
     min 0.95 (difficulty *. profile.Llm_sim.Profile.flaw_scale)
   in
   let runtime_flaws = List.filter (fun _ -> Rng.chance frng flaw_p) (flaw_pool theory) in
-  {
-    Generator.theory;
-    defects = !defects;
-    runtime_flaws;
-    version = 0;
-    profile_name = profile.Llm_sim.Profile.name;
-  }
+  Generator.make ~defects:!defects ~runtime_flaws ~profile_name:profile.Llm_sim.Profile.name
+    theory
 
 let validate_one ~solvers source =
   let rec try_solvers errors = function
@@ -189,14 +184,14 @@ let repair ~client gen categories iteration =
       | pool -> [ Rng.choose rng pool ])
     else []
   in
-  {
-    gen with
-    Generator.runtime_flaws =
-      O4a_util.Listx.dedup
-        (List.filter fix_runtime gen.Generator.runtime_flaws @ regression);
-    defects = List.filter fix_defect gen.Generator.defects;
-    version = iteration;
-  }
+  (* runtime flaws draw from [rng] before defects, as they always have *)
+  let runtime_flaws =
+    O4a_util.Listx.dedup (List.filter fix_runtime gen.Generator.runtime_flaws @ regression)
+  in
+  Generator.make
+    ~defects:(List.filter fix_defect gen.Generator.defects)
+    ~runtime_flaws ~version:iteration ~profile_name:gen.Generator.profile_name
+    gen.Generator.theory
 
 let self_correct ?(max_iter = max_iter) ~client ~solvers gen =
   let tel = Telemetry.global () in

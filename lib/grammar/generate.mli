@@ -9,6 +9,32 @@
 type hook_fn = string -> string
 (** Maps a hook name to the text to substitute. May raise. *)
 
+type compiled
+(** A grammar prepared for repeated derivation: every nonterminal resolved
+    to its first production, every alternative paired with its minimal
+    derivation depth. Immutable, so one value can be shared by domains. *)
+
+val compile : Cfg.t -> compiled
+(** Solves {!Cfg.min_depths} once. The alternatives are shared with the
+    grammar, not copied. *)
+
+val cfg : compiled -> Cfg.t
+(** The grammar [compile] was given. *)
+
+val defines : compiled -> string -> bool
+(** Whether the grammar has a production for the nonterminal. *)
+
+val derive :
+  ?max_depth:int ->
+  compiled ->
+  hook:hook_fn ->
+  rng:O4a_util.Rng.t ->
+  string ->
+  (string, string) result
+(** [derive c ~hook ~rng start] derives one sentence from [start] (default
+    depth budget 8). [Error] on unknown start symbols or grammars where no
+    alternative fits the budget. *)
+
 val sentence :
   ?max_depth:int ->
   cfg:Cfg.t ->
@@ -16,9 +42,7 @@ val sentence :
   rng:O4a_util.Rng.t ->
   string ->
   (string, string) result
-(** [sentence ~cfg ~hook ~rng start] derives one sentence from [start]
-    (default depth budget 8). [Error] on unknown start symbols or grammars
-    where no alternative fits the budget. *)
+(** [compile] followed by one [derive]. *)
 
 val sentences :
   ?max_depth:int ->
@@ -28,4 +52,4 @@ val sentences :
   count:int ->
   string ->
   string list
-(** Best-effort batch: failures are skipped. *)
+(** Best-effort batch over one compilation: failures are skipped. *)

@@ -106,36 +106,38 @@ let substitute_raw source fills =
   let marker = "<placeholder>" in
   let buf = Buffer.create (String.length source) in
   let n = String.length source and m = String.length marker in
-  let rec go i idx =
+  let rec marker_at i j = j = m || (source.[i + j] = marker.[j] && marker_at i (j + 1)) in
+  let rec go i fills =
     if i >= n then ()
-    else if i + m <= n && String.sub source i m = marker then (
-      (match List.nth_opt fills idx with
-      | Some (Raw { text; _ }) -> Buffer.add_string buf text
-      | Some (Ast _) | None -> Buffer.add_string buf "true");
-      go (i + m) (idx + 1))
+    else if i + m <= n && marker_at i 0 then (
+      (match fills with
+      | Raw { text; _ } :: _ -> Buffer.add_string buf text
+      | Ast _ :: _ | [] -> Buffer.add_string buf "true");
+      go (i + m) (match fills with [] -> [] | _ :: rest -> rest))
     else (
       Buffer.add_char buf source.[i];
-      go (i + 1) idx)
+      go (i + 1) fills)
   in
-  go 0 0;
+  go 0 fills;
   Buffer.contents buf
 
 let assemble ~skeleton ~fills =
   let theories_spliced = O4a_util.Listx.dedup (List.map fst fills) in
   let fill_terms = List.map snd fills in
   (* splice AST fills; leave raw fills as placeholders for the text pass *)
-  let counter = ref (-1) in
+  let pending = ref fill_terms in
   let script_with_ast =
     Script.map_assertions
       (fun assertion ->
         Term.map_bottom_up
           (fun node ->
             match node with
-            | Term.Placeholder _ ->
-              incr counter;
-              (match List.nth_opt fill_terms !counter with
-              | Some (Ast { term; _ }) -> term
-              | Some (Raw _) | None -> node)
+            | Term.Placeholder _ -> (
+              match !pending with
+              | [] -> node
+              | fill :: rest -> (
+                pending := rest;
+                match fill with Ast { term; _ } -> term | Raw _ -> node))
             | _ -> node)
           assertion)
       skeleton

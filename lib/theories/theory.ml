@@ -193,4 +193,11 @@ let doc id = Docs.doc (id_to_string id)
 
 let ground_truth_cfg id = Cfgs.cfg (id_to_string id)
 
+(* parsed eagerly, once per process: every generator of a theory shares
+   this value, and nothing needs a lazy or a cache *)
+let ground_truth_grammars =
+  List.map (fun t -> (t.id, Grammar_kit.Ebnf.parse_exn (Cfgs.cfg t.key))) all
+
+let ground_truth_grammar id = List.assoc id ground_truth_grammars
+
 let of_string key = Option.map (fun t -> t.id) (find_by_key key)

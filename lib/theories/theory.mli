@@ -50,6 +50,10 @@ val ground_truth_cfg : id -> string
 (** The EBNF a faithful summarization would produce. See {!Grammar_kit.Ebnf}
     for the concrete syntax: quoted literals, bare nonterminals, [@hooks]. *)
 
+val ground_truth_grammar : id -> Grammar_kit.Cfg.t
+(** [ground_truth_cfg] parsed. Every theory's text is parsed once, when the
+    module is initialised. *)
+
 val id_to_string : id -> string
 
 val of_string : string -> id option

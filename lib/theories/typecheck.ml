@@ -1,30 +1,47 @@
 open Smtlib
 
+module Smap = Map.Make (String)
+
 type env = {
   vars : (string * Sort.t) list;  (** innermost bindings first *)
-  funs : Script.fun_decl list;
-  datatypes : Command.datatype_decl list;
+  funs_rev : Script.fun_decl list;  (** latest declaration first *)
+  fun_index : Script.fun_decl Smap.t;  (** first declaration of each name *)
+  datatypes : Command.datatype_decl list;  (** in declaration order *)
 }
 
-let env_of_script script =
-  {
-    vars = [];
-    funs = Script.declared_funs script;
-    datatypes = Script.declared_datatypes script;
-  }
+let empty_env = { vars = []; funs_rev = []; fun_index = Smap.empty; datatypes = [] }
+
+(* extend with one command's declarations, as [Script.declared_funs] and
+   [Script.declared_datatypes] list them *)
+let extend_env env cmd =
+  let add env (d : Script.fun_decl) =
+    {
+      env with
+      funs_rev = d :: env.funs_rev;
+      fun_index =
+        (if Smap.mem d.name env.fun_index then env.fun_index
+         else Smap.add d.name d env.fun_index);
+    }
+  in
+  let env = List.fold_left add env (Script.declared_funs [ cmd ]) in
+  match Script.declared_datatypes [ cmd ] with
+  | [] -> env
+  | dts -> { env with datatypes = env.datatypes @ dts }
+
+let env_of_script script = List.fold_left extend_env empty_env script
 
 let env_vars env =
   env.vars
   @ List.filter_map
       (fun (d : Script.fun_decl) ->
         if d.arg_sorts = [] then Some (d.name, d.result_sort) else None)
-      env.funs
+      (List.rev env.funs_rev)
 
 let add_var name sort env = { env with vars = (name, sort) :: env.vars }
 
 let err fmt = Printf.ksprintf (fun m -> Error m) fmt
 
-let find_fun env name = List.find_opt (fun (d : Script.fun_decl) -> d.name = name) env.funs
+let find_fun env name = Smap.find_opt name env.fun_index
 
 let find_ctor env name =
   List.find_map
@@ -252,15 +269,15 @@ let check_script ?(allow_placeholders = false) script =
     | Command.Echo _ | Command.Exit ->
       Ok (env, seen_names)
   in
-  (* The env must see all declarations up to each command; rebuild it
-     incrementally from the script prefix. *)
-  let rec go prefix_rev remaining seen_names =
+  (* each command sees every declaration up to and including its own, so a
+     define-fun body can refer to its own name *)
+  let rec go env remaining seen_names =
     match remaining with
     | [] -> Ok ()
     | cmd :: rest -> (
-      let env = env_of_script (List.rev (cmd :: prefix_rev)) in
+      let env = extend_env env cmd in
       match check_cmd (env, seen_names) cmd with
-      | Ok (_, seen') -> go (cmd :: prefix_rev) rest seen'
+      | Ok (_, seen') -> go env rest seen'
       | Error e -> Error e)
   in
-  go [] script []
+  go empty_env script []

@@ -332,12 +332,13 @@ let test_dist_worker_killed_mid_lease () =
   let cfg = dist_cfg ~dir in
   let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
   let port = wait_port (Filename.concat cfg.Daemon.state_dir "tcp.port") in
-  (* pool A executes one shard, sends it, then dies with its next lease
-     unsettled; pool B does the rest *)
+  (* pool A works alone: it executes one shard, sends it, then dies with its
+     next lease unsettled. Pool B joins only after that death, so A is sure
+     to be granted that second lease; were both pools up from the start, B
+     could drain the queue first and leave A waiting forever. *)
   let wa =
     Domain.spawn (fun () -> Worker.run (worker_cfg ~quit_after:1 ~port ~slots:1 ()))
   in
-  let wb = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:2 ())) in
   let c = connect_tcp port in
   let spec =
     {
@@ -348,9 +349,10 @@ let test_dist_worker_killed_mid_lease () =
     }
   in
   let id = submit_exn c spec in
+  check_int "the dying worker exited abruptly" 1 (Domain.join wa);
+  let wb = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:2 ())) in
   check_bool "job completes despite the dead worker" true
     (wait_done c id = Protocol.Done);
-  check_int "the dying worker exited abruptly" 1 (Domain.join wa);
   let report = read_file (Filename.concat (Filename.concat cfg.Daemon.state_dir id) "report.txt") in
   check_string "report byte-identical despite mid-lease death"
     (standalone_text spec) report;

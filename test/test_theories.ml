@@ -233,6 +233,16 @@ let test_typecheck_errors () =
     "(declare-fun r () (Set UnitTuple))(assert (set.subset (rel.join r r) r))(check-sat)"
     "non-nullary"
 
+(* each command sees the declarations before it and its own, and a name
+   declared twice resolves to its first declaration *)
+let test_typecheck_declaration_scope () =
+  check_script_ok "(define-fun k () Int (+ k 1))(assert (= k 2))(check-sat)";
+  check_script_err "(assert (> y 0))(declare-fun y () Int)(check-sat)" "unknown constant";
+  check_script_ok
+    "(declare-fun is-nil (Int) Bool)\n\
+     (declare-datatypes ((Lst 0)) (((nil) (cons (head Int) (tail Lst)))))\n\
+     (assert (is-nil 3))(check-sat)"
+
 let test_typecheck_placeholders () =
   let src = "(declare-fun p () Bool)(assert (or p <placeholder>))(check-sat)" in
   check_bool "rejected by default" true
@@ -378,6 +388,7 @@ let () =
         [
           Alcotest.test_case "well-sorted scripts" `Quick test_typecheck_ok_scripts;
           Alcotest.test_case "sort errors" `Quick test_typecheck_errors;
+          Alcotest.test_case "declaration scope" `Quick test_typecheck_declaration_scope;
           Alcotest.test_case "placeholders" `Quick test_typecheck_placeholders;
           Alcotest.test_case "quantifier scope" `Quick test_typecheck_quantifier_scope;
           Alcotest.test_case "match" `Quick test_typecheck_match;
