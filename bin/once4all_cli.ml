@@ -125,29 +125,20 @@ let make_hud () =
 (* A campaign run is driven entirely by its {!O4a_server.Jobspec} — the same
    record the server accepts over its socket. [fuzz] builds one from flags,
    [resume] rebuilds one from the checkpoint's provenance, and both call
-   here; the server's job pipeline mirrors this function step for step, which
-   is what makes server-run campaigns byte-identical to standalone ones. *)
+   here; {!Jobspec.prepare} is the server's pipeline too, which is what makes
+   server-run campaigns byte-identical to standalone ones. *)
 let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
     ~show_formulas ~progress ~jobs ~checkpoint_path ~resume ~stop_after
     ~trace_dir ~ring_size =
   Telemetry.set_global tel;
   Orchestrator.Stop.install_handlers ();
   let chaos = Jobspec.chaos spec in
-  let campaign =
-    Once4all.Campaign.prepare ~seed:spec.Jobspec.seed
-      ~profile:(Jobspec.llm_profile spec) ()
-  in
-  let seeds =
-    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-      ~cove:campaign.Once4all.Campaign.cove ()
-  in
+  let { Jobspec.generators; seeds; _ } = Jobspec.prepare spec in
   Logs.info (fun m ->
       m "generators ready (%d); %d seeds, budget %d, jobs %d"
-        (List.length campaign.Once4all.Campaign.generators)
-        (List.length seeds) spec.Jobspec.budget jobs);
+        (List.length generators) (List.length seeds) spec.Jobspec.budget jobs);
   print_string
-    (Render.header
-       ~generators:(List.length campaign.Once4all.Campaign.generators)
+    (Render.header ~generators:(List.length generators)
        ~seeds:(List.length seeds) ~budget:spec.Jobspec.budget);
   flush stdout;
   let on_progress, finish_hud =
@@ -161,8 +152,8 @@ let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
       ~config:(Jobspec.config spec) ~telemetry:tel ?checkpoint_path ~resume
       ?stop_after ~extra:(Jobspec.extra spec) ?trace_dir ?ring_size ?chaos
       ?health:(Jobspec.health spec) ~profiling:progress ?on_progress
-      ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget
-      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+      ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget ~generators
+      ~seeds ()
   with
   | exception Failure msg ->
     finish_hud ();

@@ -129,28 +129,29 @@ let to_json t =
       ("yield", Json.List (List.map yield_to_json t.yield));
     ]
 
-let ( let* ) = Result.bind
+open Json.Decode
 
-let req_int name json =
-  match Option.bind (Json.member name json) Json.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "analytics: missing int field %S" name)
+(* analytics errors name the field's expected type *)
+let missing kind name =
+  Error (Printf.sprintf "analytics: missing %s field %S" kind name)
 
-let req_str name json =
-  match Option.bind (Json.member name json) Json.to_str with
+let req kind conv name json =
+  match Option.bind (Json.member name json) conv with
   | Some v -> Ok v
-  | None -> Error (Printf.sprintf "analytics: missing string field %S" name)
+  | None -> missing kind name
+
+let req_int = req "int" Json.to_int
+let req_str = req "string" Json.to_str
 
 let req_strings name json =
   match Json.member name json with
   | Some (Json.List l) ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | Json.String s :: rest -> go (s :: acc) rest
-      | _ -> Error (Printf.sprintf "analytics: %S holds a non-string" name)
-    in
-    go [] l
-  | _ -> Error (Printf.sprintf "analytics: missing list field %S" name)
+    map_result
+      (function
+        | Json.String s -> Ok s
+        | _ -> Error (Printf.sprintf "analytics: %S holds a non-string" name))
+      l
+  | _ -> missing "list" name
 
 let sample_of_json json =
   let* bucket = req_int "bucket" json in
@@ -177,20 +178,11 @@ let yield_of_json json =
   let* y_findings = req_int "findings" json in
   Ok { y_theory; y_profile; y_seed_cluster; y_tests; y_parse_ok; y_findings }
 
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-      let* v = f x in
-      go (v :: acc) rest
-  in
-  go [] l
-
 let of_json json =
   let list_field name =
     match Json.member name json with
     | Some (Json.List l) -> Ok l
-    | _ -> Error (Printf.sprintf "analytics: missing list field %S" name)
+    | _ -> missing "list" name
   in
   let* samples_json = list_field "samples" in
   let* yield_json = list_field "yield" in
@@ -407,10 +399,7 @@ let ambient_key : ledger Domain.DLS.key =
 
 let recording () = (Domain.DLS.get ambient_key).live
 
-let using l f =
-  let saved = Domain.DLS.get ambient_key in
-  Domain.DLS.set ambient_key l;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key saved) f
+let using l f = O4a_util.Ambient.using ambient_key l f
 
 let consult ?(fuel = 0) () =
   let l = Domain.DLS.get ambient_key in

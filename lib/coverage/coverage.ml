@@ -72,10 +72,7 @@ let ambient_key : ledger Domain.DLS.key =
 
 let ambient () = Domain.DLS.get ambient_key
 
-let with_ledger ledger f =
-  let prev = Domain.DLS.get ambient_key in
-  Domain.DLS.set ambient_key ledger;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key prev) f
+let with_ledger ledger f = O4a_util.Ambient.using ambient_key ledger f
 
 let ensure ledger id =
   let n = Array.length ledger.counts in

@@ -218,12 +218,7 @@ let ambient_key : Injector.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Injector.disabled)
 
 let ambient () = Domain.DLS.get ambient_key
-let set_ambient inj = Domain.DLS.set ambient_key inj
-
-let using inj f =
-  let prev = ambient () in
-  set_ambient inj;
-  Fun.protect ~finally:(fun () -> set_ambient prev) f
+let using inj f = O4a_util.Ambient.using ambient_key inj f
 
 let triggered site = Injector.check (ambient ()) site
 

@@ -132,8 +132,6 @@ val ambient : unit -> Injector.t
 (** The calling domain's injector; {!Injector.disabled} unless inside
     {!using}. *)
 
-val set_ambient : Injector.t -> unit
-
 val using : Injector.t -> (unit -> 'a) -> 'a
 (** [using inj f] runs [f] with [inj] ambient on this domain, restoring the
     previous injector afterwards (also on exception). *)

@@ -261,12 +261,9 @@ let entry_to_string e =
     e.e_solver e.e_theory e.queries e.timeouts e.errors e.crashes e.opened
     e.reclosed e.suppressed e.probes
 
-let ( let* ) = Result.bind
+open Json.Decode
 
-let req name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "health: missing or invalid field %S" name)
+let req name = req "health" name
 
 let entry_of_json json =
   let* e_solver = req "solver" Json.to_str json in
@@ -302,7 +299,4 @@ let ambient_key : ledger Domain.DLS.key = Domain.DLS.new_key (fun () -> disabled
 
 let ambient () = Domain.DLS.get ambient_key
 
-let using l f =
-  let prev = ambient () in
-  Domain.DLS.set ambient_key l;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key prev) f
+let using l f = O4a_util.Ambient.using ambient_key l f

@@ -130,22 +130,11 @@ let to_json t =
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let ( let* ) = Result.bind
+open Json.Decode
 
-let req name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "checkpoint: missing or invalid field %S" name)
-
-let list_field name json =
-  match Json.member name json with
-  | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "checkpoint: missing or invalid field %S" name)
-
-let obj_field name json =
-  match Json.member name json with
-  | Some (Json.Obj kvs) -> Ok kvs
-  | _ -> Error (Printf.sprintf "checkpoint: missing or invalid field %S" name)
+let req name = req "checkpoint" name
+let list_field name = list_field "checkpoint" name
+let obj_field name = obj_field "checkpoint" name
 
 let finding_of_json json =
   let* kind_s = req "kind" Json.to_str json in
@@ -193,13 +182,6 @@ let found_of_json json =
   let* finding = finding_of_json finding_json in
   let* source = req "source" Json.to_str json in
   Ok { Once4all.Dedup.finding; source }
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
 
 let shard_result_of_json json =
   let* shard = req "shard" Json.to_int json in
@@ -251,7 +233,7 @@ let of_json json =
     match Json.member "quarantined" json with
     | None -> Ok [] (* version 1 *)
     | Some (Json.List l) -> map_result quarantine_of_json l
-    | Some _ -> Error "checkpoint: missing or invalid field \"quarantined\""
+    | Some _ -> invalid "checkpoint" "quarantined"
   in
   let* coverage_kvs = obj_field "coverage" json in
   let* coverage =
@@ -266,7 +248,7 @@ let of_json json =
     match Json.member "health" json with
     | None -> Ok [] (* versions 1-2: no health ledger yet *)
     | Some (Json.List l) -> map_result O4a_health.Health.entry_of_json l
-    | Some _ -> Error "checkpoint: missing or invalid field \"health\""
+    | Some _ -> invalid "checkpoint" "health"
   in
   let* analytics =
     match Json.member "analytics" json with
@@ -344,3 +326,29 @@ let inspect ~path =
       | Error msg -> Error (Invalid msg)))
 
 let load ~path = Result.map (fun i -> i.i_checkpoint) (inspect ~path)
+
+let load_for_resume ~path ~seed ~budget ~shard_size =
+  match load ~path with
+  | Error err -> Error (load_error_to_string ~path err)
+  | Ok cp
+    when cp.seed = seed && cp.budget = budget && cp.shard_size = shard_size ->
+    Ok cp
+  | Ok cp ->
+    Error
+      (Printf.sprintf
+         "cannot resume from %s: checkpoint is for seed %d budget %d \
+          shard-size %d, requested seed %d budget %d shard-size %d"
+         path cp.seed cp.budget cp.shard_size seed budget shard_size)
+
+(* The shards a checkpoint already covers — completed or quarantined — must
+   not re-run: a resumed report would otherwise diverge from the
+   uninterrupted run's. *)
+let remaining ~plan base =
+  match base with
+  | None -> plan
+  | Some cp ->
+    let covered =
+      List.map (fun r -> r.shard) cp.completed
+      @ List.map (fun q -> q.q_shard) cp.quarantined
+    in
+    List.filter (fun (s : Shard.t) -> not (List.mem s.Shard.index covered)) plan

@@ -4,9 +4,9 @@
     A checkpoint records the campaign's RNG provenance (seed, budget, shard
     size — together these determine the shard plan and every shard's RNG),
     the results of every completed shard, and the coverage merged from those
-    shards. {!Orchestrator.run} refuses to resume from a checkpoint whose
-    provenance differs from the requested campaign, because the remaining
-    shards would then not line up with the completed ones. *)
+    shards. {!load_for_resume} refuses a checkpoint whose provenance differs
+    from the requested campaign, because the remaining shards would then not
+    line up with the completed ones. *)
 
 type shard_result = {
   shard : int;
@@ -101,3 +101,15 @@ val inspect : path:string -> (info, load_error) result
     [checkpoint info] subcommand's entry point. Shares {!load}'s typed
     diagnostics, so a torn or invalid file gets the same printable
     explanation instead of an exception. *)
+
+(** {1 Resuming} — the one rule [resume], [resume-job] and a restarted
+    server all follow. *)
+
+val load_for_resume :
+  path:string -> seed:int -> budget:int -> shard_size:int -> (t, string) result
+(** {!load}, then require the checkpoint's [(seed, budget, shard_size)] to be
+    the requested campaign's. The error is one printable diagnostic. *)
+
+val remaining : plan:Shard.t list -> t option -> Shard.t list
+(** The shards of [plan] the checkpoint does not already cover — neither
+    completed nor quarantined — in plan order. *)

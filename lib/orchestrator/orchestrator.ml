@@ -1,6 +1,8 @@
 module Shard = Shard
 module Checkpoint = Checkpoint
 module Stop = Stop
+module Scheduler = Scheduler
+module Pool = Pool
 module Rng = O4a_util.Rng
 module Telemetry = O4a_telemetry.Telemetry
 module Metrics = O4a_telemetry.Metrics
@@ -54,7 +56,6 @@ type report = {
 (* The flag itself lives in {!Stop} so the signal-handling contract can be
    shared with the campaign server without a dependency cycle. *)
 let request_stop = Stop.request
-let stop_requested = Stop.requested
 let reset_stop = Stop.reset
 
 (* ------------------------------------------------------------------ *)
@@ -287,12 +288,11 @@ type exec_env = {
   env_profiling : bool;
   env_gen_profile : string;
       (** the LLM generator profile, for yield attribution *)
-  env_engines : unit -> Engine.t * Engine.t;
 }
 
 let make_env ?(config = Fuzz.default_config) ?(tel_enabled = false)
     ?(tracing = false) ?ring_size ?chaos ?health ?(profiling = false)
-    ?(gen_profile = "") ?engines ~seed ~generators ~seeds () =
+    ?(gen_profile = "") ~seed ~generators ~seeds () =
   (* a plan whose profile is Off injects nothing and skips supervision *)
   let chaos =
     match chaos with Some p when Faults.enabled p -> Some p | _ -> None
@@ -309,10 +309,6 @@ let make_env ?(config = Fuzz.default_config) ?(tel_enabled = false)
     env_health = health;
     env_profiling = profiling;
     env_gen_profile = gen_profile;
-    env_engines =
-      (match engines with
-      | Some f -> f
-      | None -> fun () -> (Engine.zeal (), Engine.cove ()));
   }
 
 let exec_shard ~env ~worker_id ~zeal ~cove shard =
@@ -326,7 +322,7 @@ let exec_shard ~env ~worker_id ~zeal ~cove shard =
        ledger's scope, so construction is charged to no stage — keeping
        {!O4a_profile.Profile.strip_timing} byte-identical at any [jobs]. *)
     let zeal, cove =
-      if env.env_profiling then env.env_engines () else (zeal, cove)
+      if env.env_profiling then (Engine.zeal (), Engine.cove ()) else (zeal, cove)
     in
     run_one_shard ~worker_id ~tel_enabled:env.env_tel_enabled
       ~tracing:env.env_tracing ~ring_size:env.env_ring_size
@@ -411,17 +407,10 @@ module Merge = struct
       | Some cp -> cp.Checkpoint.analytics
       | None -> Analytics.empty
     in
-    let accounted = Array.make (List.length plan) false in
+    let accounted = Array.make (List.length plan) true in
     List.iter
-      (fun (r : Checkpoint.shard_result) ->
-        if r.Checkpoint.shard < Array.length accounted then
-          accounted.(r.Checkpoint.shard) <- true)
-      base_completed;
-    List.iter
-      (fun (q : Checkpoint.quarantine) ->
-        if q.Checkpoint.q_shard < Array.length accounted then
-          accounted.(q.Checkpoint.q_shard) <- true)
-      base_quarantined;
+      (fun s -> accounted.(s.Shard.index) <- false)
+      (Checkpoint.remaining ~plan base);
     let settled = ref 0 in
     while !settled < Array.length accounted && accounted.(!settled) do
       incr settled
@@ -823,53 +812,19 @@ end
 
 let default_shard_size = 250
 
-let take n xs =
-  let rec go acc n = function
-    | x :: rest when n > 0 -> go (x :: acc) (n - 1) rest
-    | _ -> List.rev acc
-  in
-  go [] n xs
-
 let load_base ~resume ~checkpoint_path ~seed ~budget ~shard_size =
   if not resume then None
   else (
     match checkpoint_path with
     | None -> invalid_arg "Orchestrator.run: resume requires a checkpoint path"
     | Some path -> (
-      match Checkpoint.load ~path with
-      | Error err -> failwith (Checkpoint.load_error_to_string ~path err)
-      | Ok cp ->
-        if cp.Checkpoint.seed <> seed || cp.Checkpoint.budget <> budget
-           || cp.Checkpoint.shard_size <> shard_size
-        then
-          failwith
-            (Printf.sprintf
-               "cannot resume from %s: checkpoint is for seed %d budget %d \
-                shard-size %d, requested seed %d budget %d shard-size %d"
-               path cp.Checkpoint.seed cp.Checkpoint.budget
-               cp.Checkpoint.shard_size seed budget shard_size);
-        Some cp))
-
-(* The shards a checkpoint already covers — completed or quarantined — must
-   not re-run: a resumed report would otherwise diverge from the
-   uninterrupted run's. *)
-let remaining_shards ~plan base =
-  let done_set =
-    match base with
-    | None -> []
-    | Some cp ->
-      List.fold_left
-        (fun acc (q : Checkpoint.quarantine) -> q.Checkpoint.q_shard :: acc)
-        (List.fold_left
-           (fun acc (r : Checkpoint.shard_result) -> r.Checkpoint.shard :: acc)
-           [] cp.Checkpoint.completed)
-        cp.Checkpoint.quarantined
-  in
-  List.filter (fun s -> not (List.mem s.Shard.index done_set)) plan
+      match Checkpoint.load_for_resume ~path ~seed ~budget ~shard_size with
+      | Error msg -> failwith msg
+      | Ok cp -> Some cp))
 
 let run ?(jobs = 1) ?(shard_size = default_shard_size)
     ?(config = Fuzz.default_config) ?telemetry ?checkpoint_path
-    ?(resume = false) ?stop_after ?(extra = []) ?engines ?trace_dir ?ring_size
+    ?(resume = false) ?stop_after ?(extra = []) ?trace_dir ?ring_size
     ?chaos ?health ?(profiling = false) ?on_progress ~seed ~budget ~generators
     ~seeds () =
   if jobs < 1 then invalid_arg "Orchestrator.run: jobs must be >= 1";
@@ -879,9 +834,11 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
     match base with Some cp when extra = [] -> cp.Checkpoint.extra | _ -> extra
   in
   let plan = Shard.plan ~budget ~shard_size in
-  let remaining = remaining_shards ~plan base in
+  let remaining = Checkpoint.remaining ~plan base in
   let to_run =
-    match stop_after with Some k -> take (max 0 k) remaining | None -> remaining
+    match stop_after with
+    | Some k -> O4a_util.Listx.take (max 0 k) remaining
+    | None -> remaining
   in
   let interrupted = List.length to_run < List.length remaining in
   (* populate the coverage point tables before any worker races to use them,
@@ -896,92 +853,30 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
   let env =
     make_env ~config ~tel_enabled:(Telemetry.enabled tel)
       ~tracing:(trace_dir <> None) ?ring_size ?chaos ?health ~profiling
-      ~gen_profile ?engines ~seed ~generators ~seeds ()
+      ~gen_profile ~seed ~generators ~seeds ()
   in
   let merge =
     Merge.create ~env ~tel ?checkpoint_path ?base ?on_progress ~jobs ~budget
       ~shard_size ~extra ()
   in
-  let shard_arr = Array.of_list to_run in
-  let n_to_run = Array.length shard_arr in
-  let nworkers = max 1 (min jobs n_to_run) in
-  (* a single results queue: workers push, the main domain is the only
-     consumer — the merge stage has one owner. Each worker pushes a final
-     [Msg_worker_done] sentinel, so the merge loop terminates whether the
-     campaign runs to completion or is stopped early by a signal. *)
-  let module Q = struct
-    type msg = Msg_shard of Shard.t * shard_outcome | Msg_worker_done
-  end in
-  let queue : Q.msg Queue.t = Queue.create () in
-  let qmutex = Mutex.create () in
-  let qcond = Condition.create () in
-  let push r =
-    Mutex.protect qmutex (fun () ->
-        Queue.push r queue;
-        Condition.signal qcond)
-  in
-  let pop () =
-    Mutex.lock qmutex;
-    while Queue.is_empty queue do
-      Condition.wait qcond qmutex
-    done;
-    let r = Queue.pop queue in
-    Mutex.unlock qmutex;
-    r
-  in
-  let next = Atomic.make 0 in
+  let n_to_run = List.length to_run in
   (* write a checkpoint before any shard runs, so a signal that lands in the
      campaign's first seconds still leaves a resumable file behind *)
   if n_to_run > 0 then Merge.checkpoint_now merge;
-  (* backtrace recording is per-domain runtime state: a fresh domain starts
-     from the OCAMLRUNPARAM default, silently dropping whatever the
-     application (or test harness) enabled on the main domain. Mirror it so
-     worker crashes keep their backtraces — and so a raise costs the same
-     counted words on every path, keeping the profile's exact allocation
-     total identical between the inline (jobs <= 1) and worker paths. *)
-  let record_backtraces = Printexc.backtrace_status () in
-  let worker worker_id () =
-    Printexc.record_backtrace record_backtraces;
-    let zeal, cove = env.env_engines () in
-    let rec loop () =
-      (* graceful stop lands on a shard boundary: a worker mid-shard finishes
-         and merges it, but no new shard is claimed once the flag is up *)
-      if not (stop_requested ()) then (
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n_to_run then (
-          let shard = shard_arr.(i) in
-          push (Q.Msg_shard (shard, exec_shard ~env ~worker_id ~zeal ~cove shard));
-          loop ()))
-    in
-    loop ();
-    push Q.Msg_worker_done
-  in
   Merge.notify_progress merge;
-  (if nworkers <= 1 || n_to_run = 0 then (
-     (* degenerate case: run and merge inline on this domain, shard by shard —
-        same single-owner merge as the parallel path, but progress callbacks
-        fire live instead of after a full drain *)
-     let zeal, cove = env.env_engines () in
-     let rec loop () =
-       if not (stop_requested ()) then (
-         let i = Atomic.fetch_and_add next 1 in
-         if i < n_to_run then (
-           let shard = shard_arr.(i) in
-           Merge.absorb merge shard
-             (exec_shard ~env ~worker_id:0 ~zeal ~cove shard);
-           loop ()))
-     in
-     loop ())
-   else (
-     let domains = List.init nworkers (fun wid -> Domain.spawn (worker wid)) in
-     let live_workers = ref (List.length domains) in
-     while !live_workers > 0 do
-       match pop () with
-       | Q.Msg_worker_done -> decr live_workers
-       | Q.Msg_shard (shard, outcome) -> Merge.absorb merge shard outcome
-     done;
-     List.iter Domain.join domains));
-  let stopped = stop_requested () && Merge.processed merge < n_to_run in
+  (* one job on the shared shard pool; this domain is its single merge owner,
+     so progress callbacks fire live as each shard merges *)
+  let pool = Pool.create ~workers:(min jobs n_to_run) ~wake:ignore in
+  Pool.add pool ~key:"campaign" ~quota:1 ~exec:(exec_shard ~env) to_run;
+  let rec merge_loop () =
+    match Pool.await pool with
+    | Some (_, shard, outcome) ->
+      Merge.absorb merge shard outcome;
+      merge_loop ()
+    | None -> ()
+  in
+  Fun.protect merge_loop ~finally:(fun () -> Pool.close pool);
+  let stopped = Stop.requested () && Merge.processed merge < n_to_run in
   if stopped then (
     Telemetry.emit tel "campaign.stopped"
       [

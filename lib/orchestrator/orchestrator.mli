@@ -2,15 +2,16 @@
     OCaml 5 domains and merge the results deterministically.
 
     The campaign's tick range is cut into {!Shard} units whose plan and RNGs
-    depend only on [(seed, budget, shard_size)]. Workers pull shards from a
-    shared queue; each worker owns its solver engines, each shard runs inside
-    a private coverage ledger and a private telemetry handle (memory sink,
-    monotonic clock, a [worker] base label). A single merge owner — the
-    calling domain — folds finished shards back together: findings are
-    re-ordered by shard index before {!Once4all.Dedup.cluster}, coverage
-    merges commutatively by point identity, counters sum, worker events are
-    forwarded to the campaign sink tagged with their shard. Consequently
-    [run ~jobs:n] returns the same report for every [n].
+    depend only on [(seed, budget, shard_size)]. Workers of a {!Pool} pull
+    shards from its scheduler; each worker owns its solver engines, each
+    shard runs inside a private coverage ledger and a private telemetry
+    handle (memory sink, monotonic clock, a [worker] base label). A single
+    merge owner — the calling domain — folds finished shards back together:
+    findings are re-ordered by shard index before
+    {!Once4all.Dedup.cluster}, coverage merges commutatively by point
+    identity, counters sum, worker events are forwarded to the campaign sink
+    tagged with their shard. Consequently [run ~jobs:n] returns the same
+    report for every [n].
 
     After every merged shard the campaign can be checkpointed
     ({!Checkpoint}); [run ~resume:true] skips the shards a checkpoint already
@@ -31,8 +32,11 @@ module Checkpoint = Checkpoint
 
 module Stop = Stop
 (** The process-wide stop flag and the shared two-signal handler contract
-    ({!Stop.install_handlers}). {!request_stop} / {!stop_requested} /
-    {!reset_stop} below are aliases kept for existing callers. *)
+    ({!Stop.install_handlers}). {!request_stop} / {!reset_stop} below are
+    aliases kept for existing callers. *)
+
+module Scheduler = Scheduler
+module Pool = Pool
 
 type report = {
   stats : Once4all.Fuzz.stats;
@@ -93,23 +97,21 @@ val request_stop : unit -> bool
     lets a signal handler escalate: first signal stops gracefully, second
     aborts. Async-signal-safe (a single atomic exchange). *)
 
-val stop_requested : unit -> bool
-
 val reset_stop : unit -> unit
 (** Lower the flag — for tests that run several campaigns in one process. *)
 
 val default_shard_size : int
 
-(** {1 The pluggable shard pipeline}
+(** {1 The shard pipeline}
 
-    {!run} below is one assembly of these pieces: a shard source (the
-    campaign's own plan), {!exec_shard} on a private worker pool, and a
-    {!Merge.t} sink on the calling domain. The campaign server assembles the
-    same pieces differently — one {!exec_env}/{!Merge.t} pair per submitted
-    job, shards from many jobs interleaved on one shared pool. Because a
-    shard outcome is a pure function of [(env, shard)] and merging is
-    order-independent, both assemblies land every campaign on the same
-    report. *)
+    {!run} below is one job on a {!Pool}: the campaign's own plan,
+    {!exec_shard} on the pool's worker domains, and a {!Merge.t} on the
+    calling domain. The campaign server runs the same pieces with many jobs
+    on one pool — one {!exec_env}/{!Merge.t} pair per submitted job, their
+    shards interleaved by the pool's scheduler, some leased to remote
+    workers. Because a shard outcome is a pure function of [(env, shard)]
+    and merging is order-independent, every venue lands a campaign on the
+    same report. *)
 
 type exec_env
 (** Everything needed to execute one shard of a campaign — and nothing about
@@ -124,7 +126,6 @@ val make_env :
   ?health:O4a_health.Health.config ->
   ?profiling:bool ->
   ?gen_profile:string ->
-  ?engines:(unit -> Solver.Engine.t * Solver.Engine.t) ->
   seed:int ->
   generators:Gensynth.Generator.t list ->
   seeds:Smtlib.Script.t list ->
@@ -253,7 +254,6 @@ val run :
   ?resume:bool ->
   ?stop_after:int ->
   ?extra:(string * string) list ->
-  ?engines:(unit -> Solver.Engine.t * Solver.Engine.t) ->
   ?trace_dir:string ->
   ?ring_size:int ->
   ?chaos:O4a_faults.Faults.plan ->
@@ -268,8 +268,9 @@ val run :
   report
 (** Run a sharded campaign of [budget] tests.
 
-    - [jobs] (default 1): worker domains. The report is identical for every
-      value; only wall-clock changes.
+    - [jobs] (default 1): worker domains of the campaign's {!Pool} (at most
+      one per shard to run); the calling domain only merges. The report is
+      identical for every value; only wall-clock changes.
     - [shard_size] (default {!default_shard_size}): ticks per shard. Part of
       the campaign's provenance — changing it changes the shard RNG streams,
       so it must match across resumes (and between runs being compared).
@@ -281,9 +282,6 @@ val run :
       kill/resume path deterministically.
     - [extra]: opaque provenance stored in the checkpoint (defaults to the
       resumed checkpoint's own [extra] when resuming).
-    - [engines]: fresh engine pair factory, called once per worker (default
-      trunk Zeal + Cove). Engines carry unsynchronized per-query state and
-      must never be shared across workers.
     - [generators] are shared across workers: they are immutable after
       construction.
     - [trace_dir]: enable provenance tracing ({!O4a_trace.Trace}) and write a

@@ -1,8 +1,6 @@
-module Shard = Orchestrator.Shard
-
 (* Fair round-robin over jobs with per-job quotas. Plain data, no locking —
-   the daemon guards one instance with its pool mutex, and the tests drive
-   one directly.
+   {!Pool} guards one instance with its lock, and the tests drive one
+   directly.
 
    A *round* gives every runnable job up to [quota] shard dispatches; within
    a round, picks rotate job-to-job (not quota-at-a-time), so two jobs with
@@ -52,9 +50,6 @@ let set_runnable t ~key runnable =
 let remove t ~key =
   t.slots <- List.filter (fun s -> s.key <> key) t.slots;
   if t.cursor >= List.length t.slots then t.cursor <- 0
-
-let pending t ~key =
-  match find t key with Some s -> List.length s.pending | None -> 0
 
 (* An expired lease hands its shard back; it goes to the queue's front so a
    reassignment is the very next dispatch for that job. The shard's result

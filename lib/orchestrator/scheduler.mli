@@ -1,7 +1,7 @@
 (** Fair round-robin shard scheduling across concurrent campaigns.
 
-    Plain mutable data with no internal locking: the daemon guards one
-    instance behind its pool mutex; tests drive one directly.
+    Plain mutable data with no internal locking: {!Pool} guards one instance
+    behind its lock; tests drive one directly.
 
     A {e round} gives every runnable job up to its [quota] shard dispatches.
     Within a round, picks rotate job-to-job, so jobs with equal quotas
@@ -16,7 +16,7 @@ type t
 
 val create : unit -> t
 
-val add : t -> key:string -> quota:int -> Orchestrator.Shard.t list -> unit
+val add : t -> key:string -> quota:int -> Shard.t list -> unit
 (** Register a job with its pending shards in dispatch order. Raises
     [Invalid_argument] on a duplicate key or a quota < 1. *)
 
@@ -27,14 +27,12 @@ val set_runnable : t -> key:string -> bool -> unit
 val remove : t -> key:string -> unit
 (** Drop a job and its pending shards (cancel). *)
 
-val pending : t -> key:string -> int
-
-val requeue : t -> key:string -> Orchestrator.Shard.t -> unit
+val requeue : t -> key:string -> Shard.t -> unit
 (** Hand a shard back after its lease expired: it goes to the front of the
     job's pending queue, so the reassignment is the job's next dispatch.
     Unknown keys are ignored (the job was cancelled meanwhile). *)
 
-val next : t -> (string * Orchestrator.Shard.t) option
+val next : t -> (string * Shard.t) option
 (** The next [(job, shard)] to dispatch under the fairness discipline, or
     [None] when no runnable job has pending work. *)
 

@@ -85,6 +85,27 @@ let to_json t =
       ("stages", Json.List (List.map entry_to_json t.stages));
     ]
 
+(* the shard-outcome wire codec is the only reader, so errors keep its
+   "wire" prefix *)
+let of_json json =
+  let open Json.Decode in
+  let req name = req "wire" name in
+  let entry_of_json json =
+    let* stage = req "stage" Json.to_str json in
+    let* calls = req "calls" Json.to_int json in
+    let* wall_ns = req "wall_ns" Json.to_int json in
+    let* alloc_words = req "alloc_words" Json.to_int json in
+    let* promoted_words = req "promoted_words" Json.to_int json in
+    let* consults = req "consults" Json.to_int json in
+    let* fuel = req "fuel" Json.to_int json in
+    Ok { stage; calls; wall_ns; alloc_words; promoted_words; consults; fuel }
+  in
+  let* ticks = req "ticks" Json.to_int json in
+  let* alloc_words = req "alloc_words" Json.to_int json in
+  let* stages = list_field "wire" "stages" json in
+  let* stages = map_result entry_of_json stages in
+  Ok { ticks; alloc_words; stages }
+
 (* ------------------------------------------------------------------ *)
 (* Ledgers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -232,9 +253,8 @@ let tick () =
 
 let using l f =
   if not l.live then f ()
-  else (
-    let saved = Domain.DLS.get ambient_key in
-    Domain.DLS.set ambient_key l;
+  else
+    O4a_util.Ambient.using ambient_key l @@ fun () ->
     let hook = { Telemetry.on_enter = enter l; on_leave = leave l } in
     (* warm up this domain's first-touch state (span-hook DLS slot growth,
        counter-sample boxing) before the baseline: a fresh worker domain's
@@ -254,6 +274,5 @@ let using l f =
         charge l;
         l.stack <- [];
         l.l_alloc_exact <-
-          l.l_alloc_exact + int_of_float (exact_alloc () -. alloc0);
-        Domain.DLS.set ambient_key saved)
-      (fun () -> Telemetry.with_span_hook hook f))
+          l.l_alloc_exact + int_of_float (exact_alloc () -. alloc0))
+      (fun () -> Telemetry.with_span_hook hook f)

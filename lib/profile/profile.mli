@@ -83,6 +83,10 @@ val display_name : string -> string
 val entry_to_json : entry -> O4a_telemetry.Json.t
 val to_json : t -> O4a_telemetry.Json.t
 
+val of_json : O4a_telemetry.Json.t -> (t, string) result
+(** Inverse of {!to_json}; shard outcomes ship profiles between hosts with
+    this pair. *)
+
 (** {1 Ledgers} *)
 
 type ledger

@@ -9,6 +9,8 @@ module Shard = Orchestrator.Shard
 module Checkpoint = Orchestrator.Checkpoint
 module Merge = Orchestrator.Merge
 module Stop = Orchestrator.Stop
+module Pool = Orchestrator.Pool
+module Bundle = O4a_trace.Bundle
 
 let log_src = Logs.Src.create "once4all.server" ~doc:"Campaign server daemon"
 
@@ -101,15 +103,10 @@ type job = {
 
 type t = {
   cfg : config;
-  (* shared with the worker pool, guarded by [lock] *)
-  sched : Scheduler.t;
-  envs : (string, Orchestrator.exec_env) Hashtbl.t;
-  lock : Mutex.t;
-  work : Condition.t;
-  drain : bool Atomic.t;  (* protocol-level shutdown; SIGTERM uses Stop *)
-  (* worker -> main results, guarded by [rlock]; [pipe_w] wakes the select *)
-  results : (string * Shard.t * Orchestrator.shard_outcome) Queue.t;
-  rlock : Mutex.t;
+  (* local worker domains and the scheduler remote dispatch pulls from; a
+     queued result writes to [pipe_w] to wake the select loop. A Shutdown
+     request stops the pool; SIGTERM uses Stop. *)
+  pool : Orchestrator.shard_outcome Pool.t;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   (* main-domain-only state *)
@@ -120,11 +117,7 @@ type t = {
   leases : Lease.t;
 }
 
-let stopping t = Stop.requested () || Atomic.get t.drain
-
-let wake t =
-  try ignore (Unix.write_substring t.pipe_w "x" 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) -> ()
+let stopping t = Stop.requested () || Pool.stopped t.pool
 
 (* ------------------------------------------------------------------ *)
 (* Event streaming                                                     *)
@@ -215,14 +208,6 @@ let on_progress t id (p : Hud.progress) =
 (* Job lifecycle                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then (
-      go (Filename.dirname d);
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  in
-  go dir
-
 let fresh_id t name =
   let taken id =
     Hashtbl.mem t.jobs id || Sys.file_exists (Filename.concat t.cfg.state_dir id)
@@ -264,28 +249,15 @@ let finish_job job =
   Telemetry.flush job.tel
 
 (* Build and register a job from its spec (and, when resuming, the loaded
-   checkpoint), then hand its remaining shards to the shared scheduler. The
-   pipeline here is exactly the CLI's fuzz path — Campaign.prepare,
-   Seeds.Corpus.filtered, make_env on [fuzz_seed] — so a shard executed for
-   this job is indistinguishable from one executed by `once4all fuzz`. *)
+   checkpoint), then hand its remaining shards to the shared pool. The
+   campaign comes from {!Jobspec.prepare}, as for `once4all fuzz`, so a shard
+   executed for this job is indistinguishable from one executed there. *)
 let start_job t ~id ~dir ~spec ~base =
-  mkdir_p dir;
+  Bundle.ensure_dir dir;
   write_file (Filename.concat dir "spec.json")
     (Json.to_string (Jobspec.to_json spec) ^ "\n");
-  let profile = Jobspec.llm_profile spec in
-  let campaign = Once4all.Campaign.prepare ~seed:spec.Jobspec.seed ~profile () in
-  let seeds =
-    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-      ~cove:campaign.Once4all.Campaign.cove ()
-  in
+  let prepared = Jobspec.prepare spec in
   let chaos = Jobspec.chaos spec in
-  let env =
-    Orchestrator.make_env ~config:(Jobspec.config spec) ~tel_enabled:true
-      ~tracing:spec.Jobspec.trace ?chaos ?health:(Jobspec.health spec)
-      ~gen_profile:profile.Llm_sim.Profile.name
-      ~seed:(Jobspec.fuzz_seed spec)
-      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
-  in
   let callback = Sink.callback (fun ev -> on_event t id ev) in
   let sink =
     if spec.Jobspec.telemetry then
@@ -299,18 +271,7 @@ let start_job t ~id ~dir ~spec ~base =
   let plan =
     Shard.plan ~budget:spec.Jobspec.budget ~shard_size:spec.Jobspec.shard_size
   in
-  let remaining =
-    match base with
-    | None -> plan
-    | Some cp ->
-      let covered =
-        List.map (fun (r : Checkpoint.shard_result) -> r.Checkpoint.shard)
-          cp.Checkpoint.completed
-        @ List.map (fun (q : Checkpoint.quarantine) -> q.Checkpoint.q_shard)
-            cp.Checkpoint.quarantined
-      in
-      List.filter (fun s -> not (List.mem s.Shard.index covered)) plan
-  in
+  let remaining = Checkpoint.remaining ~plan base in
   let job =
     {
       id;
@@ -318,16 +279,11 @@ let start_job t ~id ~dir ~spec ~base =
       dir;
       chaos;
       tel;
-      gen_count = List.length campaign.Once4all.Campaign.generators;
-      seed_count = List.length seeds;
+      gen_count = List.length prepared.Jobspec.generators;
+      seed_count = List.length prepared.Jobspec.seeds;
       plan_total = List.length plan;
       total = List.length remaining;
-      resumed =
-        (match base with
-        | Some cp ->
-          List.length cp.Checkpoint.completed
-          + List.length cp.Checkpoint.quarantined
-        | None -> 0);
+      resumed = List.length plan - List.length remaining;
       merge = None;
       state = Protocol.Queued;
       shards_done = 0;
@@ -342,7 +298,7 @@ let start_job t ~id ~dir ~spec ~base =
   Hashtbl.replace t.jobs id job;
   t.order <- t.order @ [ id ];
   let merge =
-    Merge.create ~env ~tel
+    Merge.create ~env:prepared.Jobspec.env ~tel
       ~checkpoint_path:(Filename.concat dir "checkpoint.json")
       ?base ~on_progress:(fun p -> on_progress t id p)
       ~jobs:t.cfg.pool ~budget:spec.Jobspec.budget
@@ -355,10 +311,9 @@ let start_job t ~id ~dir ~spec ~base =
     Merge.checkpoint_now merge;
     Merge.notify_progress merge;
     set_state job Protocol.Running;
-    Mutex.protect t.lock (fun () ->
-        Hashtbl.replace t.envs id env;
-        Scheduler.add t.sched ~key:id ~quota:spec.Jobspec.quota remaining;
-        Condition.broadcast t.work))
+    Pool.add t.pool ~key:id ~quota:spec.Jobspec.quota
+      ~exec:(Orchestrator.exec_shard ~env:prepared.Jobspec.env)
+      remaining)
   else (
     Merge.notify_progress merge;
     finish_job job);
@@ -380,67 +335,23 @@ let drain_pipe t =
   in
   go ()
 
-let drain_results t =
-  let rec go () =
-    match Mutex.protect t.rlock (fun () -> Queue.take_opt t.results) with
-    | None -> ()
-    | Some (id, shard, outcome) ->
-      (match Hashtbl.find_opt t.jobs id with
-      | None -> ()
-      | Some job when Protocol.job_state_terminal job.state ->
-        (* a cancelled job's in-flight shards complete but merge nowhere *)
-        ()
-      | Some job -> (
-        let merge = Option.get job.merge in
-        match Merge.absorb merge shard outcome with
-        | exception Failure msg ->
-          (* checkpoint verify-after-save is the only raiser here *)
-          set_state job (Protocol.Failed msg);
-          Telemetry.flush job.tel
-        | () -> if Merge.processed merge >= job.total then finish_job job));
-      go ()
-  in
-  go ()
+(* every result — a local worker's or a remote pool's — merges here *)
+let merge_result t (id, shard, outcome) =
+  match Hashtbl.find_opt t.jobs id with
+  | None -> ()
+  | Some job when Protocol.job_state_terminal job.state ->
+    (* a cancelled job's in-flight shards complete but merge nowhere *)
+    ()
+  | Some job -> (
+    let merge = Option.get job.merge in
+    match Merge.absorb merge shard outcome with
+    | exception Failure msg ->
+      (* checkpoint verify-after-save is the only raiser here *)
+      set_state job (Protocol.Failed msg);
+      Telemetry.flush job.tel
+    | () -> if Merge.processed merge >= job.total then finish_job job)
 
-(* ------------------------------------------------------------------ *)
-(* Worker pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let worker t wid () =
-  Printexc.record_backtrace (Printexc.backtrace_status ());
-  let zeal = Engine.zeal () and cove = Engine.cove () in
-  let claim () =
-    Mutex.lock t.lock;
-    let rec go () =
-      if stopping t then (
-        Mutex.unlock t.lock;
-        None)
-      else (
-        match Scheduler.next t.sched with
-        | Some (key, shard) -> (
-          (* an env can only be missing if cancellation raced the scheduler;
-             skip the orphan shard rather than die holding [t.lock] *)
-          match Hashtbl.find_opt t.envs key with
-          | Some env ->
-            Mutex.unlock t.lock;
-            Some (key, env, shard)
-          | None -> go ())
-        | None ->
-          Condition.wait t.work t.lock;
-          go ())
-    in
-    go ()
-  in
-  let rec loop () =
-    match claim () with
-    | None -> ()
-    | Some (key, env, shard) ->
-      let outcome = Orchestrator.exec_shard ~env ~worker_id:wid ~zeal ~cove shard in
-      Mutex.protect t.rlock (fun () -> Queue.push (key, shard, outcome) t.results);
-      wake t;
-      loop ()
-  in
-  loop ()
+let drain_results t = List.iter (merge_result t) (Pool.ready t.pool)
 
 (* ------------------------------------------------------------------ *)
 (* Remote worker pools: leases, dispatch, reassignment                 *)
@@ -475,9 +386,7 @@ let requeue_shard t (g : Lease.grant) =
            (Lease.has_lease_for t.leases ~job:g.Lease.job
               ~shard_index:g.Lease.shard.Shard.index)
     then (
-      Mutex.protect t.lock (fun () ->
-          Scheduler.requeue t.sched ~key:g.Lease.job g.Lease.shard;
-          Condition.broadcast t.work);
+      Pool.requeue t.pool ~key:g.Lease.job g.Lease.shard;
       lease_event job
         [
           ("event", Json.String "lease.reassigned");
@@ -568,16 +477,16 @@ let free_worker t =
         | _ -> best)
     None t.conns
 
-(* Pull shards off the shared scheduler and lease them to whichever remote
-   pool has the most free slots. Runs on the main domain; the local pool
-   competes for the same scheduler under [t.lock], so a coordinator with
-   both local and remote workers load-balances naturally. *)
+(* Pull shards off the shared pool's scheduler and lease them to whichever
+   remote pool has the most free slots. Runs on the main domain; the local
+   workers compete for the same scheduler, so a coordinator with both local
+   and remote workers load-balances naturally. *)
 let rec dispatch_remote t =
   if not (stopping t) then
     match free_worker t with
     | None -> ()
     | Some c -> (
-      match Mutex.protect t.lock (fun () -> Scheduler.next t.sched) with
+      match Pool.next t.pool with
       | None -> ()
       | Some (key, shard) -> (
         match Hashtbl.find_opt t.jobs key with
@@ -666,7 +575,7 @@ let pause t id =
       (Printf.sprintf "job %S is %s, not running" id
          (Protocol.job_state_to_string job.state))
   | Some job ->
-    Mutex.protect t.lock (fun () -> Scheduler.set_runnable t.sched ~key:id false);
+    Pool.set_runnable t.pool ~key:id false;
     set_state job Protocol.Paused;
     Protocol.ok [ ("job", Json.String id) ]
 
@@ -686,38 +595,28 @@ let revive t id =
       match Result.bind (Json.parse contents) Jobspec.of_json with
       | Error msg -> Protocol.error (Printf.sprintf "%s: %s" spec_path msg)
       | Ok spec -> (
-        match Checkpoint.load ~path:cp_path with
-        | Error err ->
-          Protocol.error (Checkpoint.load_error_to_string ~path:cp_path err)
+        match
+          Checkpoint.load_for_resume ~path:cp_path
+            ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget
+            ~shard_size:spec.Jobspec.shard_size
+        with
+        | Error msg -> Protocol.error msg
         | Ok cp ->
-          if
-            cp.Checkpoint.seed <> Jobspec.fuzz_seed spec
-            || cp.Checkpoint.budget <> spec.Jobspec.budget
-            || cp.Checkpoint.shard_size <> spec.Jobspec.shard_size
-          then
-            Protocol.error
-              (Printf.sprintf
-                 "checkpoint %s does not match the job's spec (seed/budget/\
-                  shard_size differ)"
-                 cp_path)
-          else (
-            let job = start_job t ~id ~dir ~spec ~base:(Some cp) in
-            Log.info (fun m ->
-                m "job %s revived: %d shards left of %d" id job.total
-                  job.plan_total);
-            Protocol.ok
-              [
-                ("job", Json.String id);
-                ("shards", Json.Int job.total);
-                ("resumed", Json.Int job.resumed);
-              ]))))
+          let job = start_job t ~id ~dir ~spec ~base:(Some cp) in
+          Log.info (fun m ->
+              m "job %s revived: %d shards left of %d" id job.total
+                job.plan_total);
+          Protocol.ok
+            [
+              ("job", Json.String id);
+              ("shards", Json.Int job.total);
+              ("resumed", Json.Int job.resumed);
+            ])))
 
 let resume_job t id =
   match Hashtbl.find_opt t.jobs id with
   | Some job when job.state = Protocol.Paused ->
-    Mutex.protect t.lock (fun () ->
-        Scheduler.set_runnable t.sched ~key:id true;
-        Condition.broadcast t.work);
+    Pool.set_runnable t.pool ~key:id true;
     set_state job Protocol.Running;
     Protocol.ok [ ("job", Json.String id) ]
   | Some job ->
@@ -734,9 +633,7 @@ let cancel t id =
       (Printf.sprintf "job %S already %s" id
          (Protocol.job_state_to_string job.state))
   | Some job ->
-    Mutex.protect t.lock (fun () ->
-        Scheduler.remove t.sched ~key:id;
-        Hashtbl.remove t.envs id);
+    Pool.remove t.pool ~key:id;
     (* revoke outstanding leases: any result still in flight arrives stale *)
     List.iter
       (fun (g : Lease.grant) -> release_slot t g.Lease.worker)
@@ -865,15 +762,12 @@ let handle_request t c = function
                 ("shard", Json.Int g.Lease.shard.Shard.index);
                 ("worker", Json.Int g.Lease.worker);
               ]);
-          Mutex.protect t.rlock (fun () ->
-              Queue.push (g.Lease.job, g.Lease.shard, oc) t.results);
-          drain_results t;
+          merge_result t (g.Lease.job, g.Lease.shard, oc);
           dispatch_remote t)))
   | Protocol.Shutdown ->
     Log.info (fun m -> m "shutdown requested; draining");
     conn_send_json c (Protocol.ok [ ("draining", Json.Bool true) ]);
-    Atomic.set t.drain true;
-    Mutex.protect t.lock (fun () -> Condition.broadcast t.work)
+    Pool.stop t.pool
 
 let process_line t c line =
   if String.trim line <> "" then (
@@ -963,15 +857,16 @@ let create cfg =
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
   Unix.set_nonblock pipe_w;
+  let wake () =
+    try ignore (Unix.write_substring pipe_w "x" 0 1)
+    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _)
+    -> ()
+  in
   {
     cfg;
-    sched = Scheduler.create ();
-    envs = Hashtbl.create 16;
-    lock = Mutex.create ();
-    work = Condition.create ();
-    drain = Atomic.make false;
-    results = Queue.create ();
-    rlock = Mutex.create ();
+    (* pool 0 is legitimate: a coordinator-only daemon whose shards all run
+       on remote worker pools *)
+    pool = Pool.create ~workers:cfg.pool ~wake;
     pipe_r;
     pipe_w;
     jobs = Hashtbl.create 16;
@@ -1011,19 +906,19 @@ let bind_tcp cfg =
               Ok (Some (fd, host, actual))))
 
 let rec run cfg =
-  mkdir_p cfg.state_dir;
+  Bundle.ensure_dir cfg.state_dir;
   (* a subscriber vanishing mid-write must surface as EPIPE, not kill the
      daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   Engine.prewarm ();
-  let t = create cfg in
   match bind_tcp cfg with
   | Error msg ->
     Log.err (fun m -> m "%s" msg);
     prerr_endline ("once4all: " ^ msg);
     1
   | Ok tcp ->
+    let t = create cfg in
     let port_file = Filename.concat cfg.state_dir "tcp.port" in
     (match tcp with
     | Some (_, host, port) ->
@@ -1041,11 +936,6 @@ let rec run cfg =
           cfg.state_dir);
     let listeners =
       listen_fd :: (match tcp with Some (fd, _, _) -> [ fd ] | None -> [])
-    in
-    (* pool 0 is legitimate: a coordinator-only daemon whose shards all run
-       on remote worker pools *)
-    let workers =
-      List.init cfg.pool (fun wid -> Domain.spawn (worker t wid))
     in
     let rec loop () =
       if not (stopping t) then (
@@ -1077,9 +967,9 @@ let rec run cfg =
         loop ())
     in
     loop ();
-    finish t ~workers ~listeners ~port_file ~tcp
+    finish t ~listeners ~port_file ~tcp
 
-and finish t ~workers ~listeners ~port_file ~tcp =
+and finish t ~listeners ~port_file ~tcp =
   (* Graceful drain — same contract whether the trigger was SIGTERM
      ({!Orchestrator.Stop}) or a Shutdown request: local workers finish the
      shard they are executing and exit, every in-flight local result merges
@@ -1092,8 +982,7 @@ and finish t ~workers ~listeners ~port_file ~tcp =
       if c.worker <> None && not c.closed then
         conn_send_json c (Protocol.worker_msg_to_json Protocol.Drain))
     t.conns;
-  Mutex.protect t.lock (fun () -> Condition.broadcast t.work);
-  List.iter Domain.join workers;
+  Pool.close t.pool;
   drain_pipe t;
   drain_results t;
   List.iter

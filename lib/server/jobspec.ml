@@ -99,6 +99,32 @@ let config t =
 
 let fuzz_seed t = t.seed + 1
 
+type prepared = {
+  generators : Gensynth.Generator.t list;
+  seeds : Smtlib.Script.t list;
+  env : Orchestrator.exec_env;
+}
+
+(* The one spec -> campaign pipeline: the CLI's fuzz/resume, the daemon's
+   jobs and remote workers all build their campaign here. The env is a pure
+   function of the spec, so a shard executed on any of them is bit-for-bit
+   the same shard. *)
+let prepare t =
+  let profile = llm_profile t in
+  let campaign = Once4all.Campaign.prepare ~seed:t.seed ~profile () in
+  let generators = campaign.Once4all.Campaign.generators in
+  let seeds =
+    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
+      ~cove:campaign.Once4all.Campaign.cove ()
+  in
+  let env =
+    Orchestrator.make_env ~config:(config t) ~tel_enabled:true ~tracing:t.trace
+      ?chaos:(chaos t) ?health:(health t)
+      ~gen_profile:profile.Llm_sim.Profile.name ~seed:(fuzz_seed t)
+      ~generators ~seeds ()
+  in
+  { generators; seeds; env }
+
 (* Checkpoint provenance. This list IS the campaign's identity beyond
    (seed, budget, shard_size): the CLI and the server both derive it from a
    spec through this one function, which is what makes their checkpoints

@@ -53,6 +53,21 @@ val fuzz_seed : t -> int
 (** [seed + 1] — the orchestrator seed, matching the CLI's convention (the
     construction phase consumes [seed] itself). *)
 
+(** A spec's campaign, ready to run. *)
+type prepared = {
+  generators : Gensynth.Generator.t list;
+  seeds : Smtlib.Script.t list;  (** the corpus, filtered by both solvers *)
+  env : Orchestrator.exec_env;
+      (** for executing the campaign's shards: telemetry buffered for
+          forwarding, tracing as [trace] says *)
+}
+
+val prepare : t -> prepared
+(** The one pipeline from a spec to its campaign — the generator library
+    the LLM profile synthesizes at [seed], the seed corpus filtered by both
+    solvers, and the shard env at {!fuzz_seed}. [fuzz], [resume], the
+    server's jobs and its remote workers all build campaigns here. *)
+
 val extra : t -> (string * string) list
 (** The checkpoint provenance record. One definition for both entry points,
     so checkpoints written by either can be resumed by either. *)

@@ -92,10 +92,7 @@ let request_to_json = function
         ("outcome", outcome);
       ]
 
-let job_field json =
-  match Option.bind (Json.member "job" json) Json.to_str with
-  | Some j -> Ok j
-  | None -> Error "request: missing or invalid field \"job\""
+let job_field = Json.Decode.req "request" "job" Json.to_str
 
 let request_of_json json =
   match Option.bind (Json.member "req" json) Json.to_str with

@@ -14,28 +14,14 @@ module Checkpoint = Orchestrator.Checkpoint
    analytics are byte-compared against the standalone run, so a codec that
    drops so much as a histogram bucket would break the identity. Wherever a
    subsystem already persists the value (checkpoints, telemetry logs, trace
-   bundles) its codec is reused; the only encodings defined here are the ones
-   no file format needed before: full metric entries (the telemetry log's
-   histogram rendering is a lossy sum/count summary) and profile exports. *)
+   bundles, profiles) its codec is reused; the only encoding defined here is
+   the one no file format needed before: full metric entries (the telemetry
+   log's histogram rendering is a lossy sum/count summary). *)
 
-let ( let* ) = Result.bind
+open Json.Decode
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let req name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "wire: missing or invalid field %S" name)
-
-let list_field name json =
-  match Json.member name json with
-  | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "wire: missing or invalid field %S" name)
+let req name = req "wire" name
+let list_field name = list_field "wire" name
 
 (* ------------------------------------------------------------------ *)
 (* Metric entries (lossless, unlike the telemetry log's summary form)   *)
@@ -131,36 +117,6 @@ let metric_entry_of_json json =
   Ok { Metrics.name; labels; value }
 
 (* ------------------------------------------------------------------ *)
-(* Profile exports                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let profile_entry_of_json json =
-  let* stage = req "stage" Json.to_str json in
-  let* calls = req "calls" Json.to_int json in
-  let* wall_ns = req "wall_ns" Json.to_int json in
-  let* alloc_words = req "alloc_words" Json.to_int json in
-  let* promoted_words = req "promoted_words" Json.to_int json in
-  let* consults = req "consults" Json.to_int json in
-  let* fuel = req "fuel" Json.to_int json in
-  Ok
-    {
-      Profile.stage;
-      calls;
-      wall_ns;
-      alloc_words;
-      promoted_words;
-      consults;
-      fuel;
-    }
-
-let profile_of_json json =
-  let* ticks = req "ticks" Json.to_int json in
-  let* alloc_words = req "alloc_words" Json.to_int json in
-  let* stages = list_field "stages" json in
-  let* stages = map_result profile_entry_of_json stages in
-  Ok { Profile.ticks; alloc_words; stages }
-
-(* ------------------------------------------------------------------ *)
 (* Shard payloads                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -212,7 +168,7 @@ let payload_of_json json =
   let* health_export = map_result Health.entry_of_json health_export in
   let* profile_export =
     match Json.member "profile" json with
-    | Some j -> profile_of_json j
+    | Some j -> Profile.of_json j
     | None -> Error "wire: payload missing \"profile\""
   in
   let* analytics_export =

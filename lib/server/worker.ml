@@ -8,11 +8,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* A remote worker pool: connects to a coordinator's TCP (or Unix) listener,
    registers its slot count, and executes granted shards with the exact
-   pipeline the coordinator's local pool uses — Campaign.prepare from the
-   granted spec, Seeds.Corpus.filtered, make_env on the spec's fuzz seed,
-   Orchestrator.exec_shard. A shard outcome is a pure function of
-   (env, shard) and the env is a pure function of the spec, so a shard
-   executed here is bit-for-bit the shard the coordinator would have
+   pipeline the coordinator's local pool uses — {!Jobspec.prepare} on the
+   granted spec, then Orchestrator.exec_shard. A shard outcome is a pure
+   function of (env, shard) and the env is a pure function of the spec, so a
+   shard executed here is bit-for-bit the shard the coordinator would have
    executed itself; the network moves work, never results' content.
 
    Threading: the main thread owns the socket — reads grants, sends
@@ -61,30 +60,12 @@ let push_request st req =
             st.dead <- true;
             Condition.broadcast st.qcond))
 
-(* env construction mirrors the daemon's start_job step for step — that
-   mirror is the whole byte-identity argument, so change both or neither *)
 let env_for st (task : task) =
   Mutex.protect st.elock (fun () ->
       match Hashtbl.find_opt st.envs task.job with
       | Some env -> env
       | None ->
-        let spec = task.spec in
-        let profile = Jobspec.llm_profile spec in
-        let campaign =
-          Once4all.Campaign.prepare ~seed:spec.Jobspec.seed ~profile ()
-        in
-        let seeds =
-          Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-            ~cove:campaign.Once4all.Campaign.cove ()
-        in
-        let env =
-          Orchestrator.make_env ~config:(Jobspec.config spec)
-            ~tel_enabled:true ~tracing:spec.Jobspec.trace
-            ?chaos:(Jobspec.chaos spec) ?health:(Jobspec.health spec)
-            ~gen_profile:profile.Llm_sim.Profile.name
-            ~seed:(Jobspec.fuzz_seed spec)
-            ~generators:campaign.Once4all.Campaign.generators ~seeds ()
-        in
+        let env = (Jobspec.prepare task.spec).Jobspec.env in
         Hashtbl.replace st.envs task.job env;
         env)
 

@@ -242,3 +242,32 @@ let rec equal a b =
     List.length xs = List.length ys
     && List.for_all2 (fun (k, v) (k', v') -> k = k' && equal v v') xs ys
   | _ -> false
+
+(* ------------------------------ decoding -------------------------------- *)
+
+module Decode = struct
+  let ( let* ) = Result.bind
+
+  let map_result f xs =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | x :: rest ->
+        let* y = f x in
+        go (y :: acc) rest
+    in
+    go [] xs
+
+  let invalid ctx name =
+    Error (Printf.sprintf "%s: missing or invalid field %S" ctx name)
+
+  let req ctx name conv json =
+    match Option.bind (member name json) conv with
+    | Some v -> Ok v
+    | None -> invalid ctx name
+
+  let list_field ctx name json =
+    match member name json with Some (List l) -> Ok l | _ -> invalid ctx name
+
+  let obj_field ctx name json =
+    match member name json with Some (Obj kvs) -> Ok kvs | _ -> invalid ctx name
+end

@@ -43,3 +43,26 @@ val to_bool : t -> bool option
 val equal : t -> t -> bool
 (** Structural equality, except [Int n] and [Float f] compare equal when
     [float_of_int n = f] (the printer may legally narrow [2.0] to [2]). *)
+
+(** {1 Decoding}
+
+    The field-decoder kit every JSON codec in the tree shares. [ctx] names
+    the format (["checkpoint"], ["wire"], ...) and prefixes each error:
+    [ctx ^ ": missing or invalid field \"name\""]. *)
+
+module Decode : sig
+  val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
+
+  val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+  (** Map in order, stopping at the first error. *)
+
+  val invalid : string -> string -> ('a, string) result
+  (** [invalid ctx name] is the missing-or-invalid-field error. *)
+
+  val req : string -> string -> (t -> 'a option) -> t -> ('a, string) result
+  (** [req ctx name conv json]: field [name] of [json], converted by
+      [conv]. *)
+
+  val list_field : string -> string -> t -> (t list, string) result
+  val obj_field : string -> string -> t -> ((string * t) list, string) result
+end

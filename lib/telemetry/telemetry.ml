@@ -67,10 +67,7 @@ type span_hook = { on_enter : string -> unit; on_leave : string -> unit }
 let span_hook_key : span_hook option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let with_span_hook hook f =
-  let saved = Domain.DLS.get span_hook_key in
-  Domain.DLS.set span_hook_key (Some hook);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set span_hook_key saved) f
+let with_span_hook hook f = O4a_util.Ambient.using span_hook_key (Some hook) f
 
 let instrumented_span t labels stage f =
   let parent = match t.span_stack with [] -> None | p :: _ -> Some p in
@@ -118,7 +115,4 @@ let ambient : t Domain.DLS.key = Domain.DLS.new_key (fun () -> disabled)
 let global () = Domain.DLS.get ambient
 let set_global t = Domain.DLS.set ambient t
 
-let using t f =
-  let saved = Domain.DLS.get ambient in
-  Domain.DLS.set ambient t;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient saved) f
+let using t f = O4a_util.Ambient.using ambient t f

@@ -149,20 +149,15 @@ let record_to_json = function
   | Fault_injected { site } ->
     Json.Obj [ ("stage", Json.String "fault"); ("site", Json.String site) ]
 
-let ( let* ) = Result.bind
+open Json.Decode
 
-let req name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "trace: missing or invalid field %S" name)
-
+let req name = req "trace" name
 let opt name json = Option.bind (Json.member name json) Json.to_str
 
 let string_list name json =
-  match Json.member name json with
-  | Some (Json.List l) ->
-    Ok (List.filter_map (function Json.String s -> Some s | _ -> None) l)
-  | _ -> Error (Printf.sprintf "trace: missing or invalid field %S" name)
+  Result.map
+    (List.filter_map (function Json.String s -> Some s | _ -> None))
+    (list_field "trace" name json)
 
 let record_of_json json =
   let* stage = req "stage" Json.to_str json in
@@ -198,7 +193,7 @@ let record_of_json json =
           kvs (Ok [])
       in
       Ok (Adapted { substitutions })
-    | _ -> Error "trace: missing or invalid field \"substitutions\"")
+    | _ -> invalid "trace" "substitutions")
   | "direct" ->
     let* terms = req "terms" Json.to_int json in
     let* theories = string_list "theories" json in
@@ -235,13 +230,6 @@ let record_of_json json =
     Ok (Fault_injected { site })
   | other -> Error (Printf.sprintf "trace: unknown stage %S" other)
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
 let to_json t =
   Json.Obj
     [
@@ -255,11 +243,7 @@ let of_json json =
   let* id = req "id" Json.to_str json in
   let* campaign_seed = req "campaign_seed" Json.to_int json in
   let* tick = req "tick" Json.to_int json in
-  let* records_json =
-    match Json.member "records" json with
-    | Some (Json.List l) -> Ok l
-    | _ -> Error "trace: missing or invalid field \"records\""
-  in
+  let* records_json = list_field "trace" "records" json in
   let* records = map_result record_of_json records_json in
   Ok { id; campaign_seed; tick; records }
 
@@ -465,12 +449,8 @@ module Recorder = struct
   let ambient_key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> disabled)
 
   let ambient () = Domain.DLS.get ambient_key
-  let set_ambient r = Domain.DLS.set ambient_key r
 
-  let using r f =
-    let saved = Domain.DLS.get ambient_key in
-    Domain.DLS.set ambient_key r;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key saved) f
+  let using r f = O4a_util.Ambient.using ambient_key r f
 end
 
 let note rec_ = Recorder.record (Recorder.ambient ()) rec_

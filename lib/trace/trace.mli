@@ -174,7 +174,6 @@ module Recorder : sig
       it (see {!note}) so their signatures stay trace-free. *)
 
   val ambient : unit -> t
-  val set_ambient : t -> unit
 
   val using : t -> (unit -> 'a) -> 'a
   (** Install [t] as the calling domain's ambient recorder for the call,

@@ -20,9 +20,9 @@ let generators () = (Lazy.force campaign).Campaign.generators
 let seed_pool = lazy (O4a_util.Listx.take 25 (Seeds.Corpus.all ()))
 
 let run ?jobs ?telemetry ?checkpoint_path ?resume ?stop_after ?trace_dir
-    ?chaos ?health ?(budget = 300) ?(shard_size = 60) () =
+    ?chaos ?health ?on_progress ?(budget = 300) ?(shard_size = 60) () =
   Orchestrator.run ?jobs ?telemetry ?checkpoint_path ?resume ?stop_after
-    ?trace_dir ?chaos ?health ~shard_size ~seed:91 ~budget
+    ?trace_dir ?chaos ?health ?on_progress ~shard_size ~seed:91 ~budget
     ~generators:(generators ()) ~seeds:(Lazy.force seed_pool) ()
 
 let report_key (r : Orchestrator.report) =
@@ -422,6 +422,39 @@ let test_graceful_stop_then_resume () =
       check_bool "resume lands on the uninterrupted report" true
         (report_key full = report_key resumed))
 
+(* --jobs 1 runs on one pool domain like any other value: a stop raised by
+   the merge owner after the first merged shard still lands on a shard
+   boundary (the worker finishes at most the shard it already claimed), and
+   resuming lands on the uninterrupted report *)
+let test_jobs1_stop_from_progress () =
+  let path = Filename.temp_file "o4a_stop1" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Orchestrator.reset_stop ();
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let full = run ~jobs:1 () in
+      let on_progress (p : O4a_profile.Hud.progress) =
+        if p.O4a_profile.Hud.shards_done >= 1 then
+          ignore (Orchestrator.request_stop ())
+      in
+      let stopped = run ~jobs:1 ~checkpoint_path:path ~on_progress () in
+      check_bool "stopped" true stopped.Orchestrator.stopped;
+      let ran = stopped.Orchestrator.shards_run in
+      check_bool "stopped within one shard of the request" true
+        (ran >= 1 && ran <= 2 && ran < stopped.Orchestrator.shards_total);
+      (match Checkpoint.load ~path with
+      | Ok cp ->
+        check_int "checkpoint holds every merged shard" ran
+          (List.length cp.Checkpoint.completed)
+      | Error _ -> Alcotest.fail "checkpoint unreadable after the stop");
+      Orchestrator.reset_stop ();
+      let resumed = run ~jobs:1 ~checkpoint_path:path ~resume:true () in
+      check_int "resumed the merged shards" ran
+        resumed.Orchestrator.shards_resumed;
+      check_bool "resume lands on the uninterrupted report" true
+        (report_key full = report_key resumed))
+
 let test_resume_rejects_mismatched_provenance () =
   let path = Filename.temp_file "o4a_resume" ".json" in
   Fun.protect
@@ -479,6 +512,36 @@ let test_parallel_map () =
     | _ -> false
     | exception Failure _ -> true)
 
+(* ------------------------- shard pool ------------------------- *)
+
+(* with no workers (the coordinator-only `serve --pool 0`) every shard stays
+   with the scheduler for remote dispatch *)
+let test_pool_zero_workers () =
+  let module Pool = Orchestrator.Pool in
+  let pool = Pool.create ~workers:0 ~wake:ignore in
+  let shards = Shard.plan ~budget:40 ~shard_size:10 in
+  let exec ~worker_id:_ ~zeal:_ ~cove:_ (s : Shard.t) = s.Shard.index in
+  Pool.add pool ~key:"a" ~quota:1 ~exec shards;
+  Pool.add pool ~key:"b" ~quota:1 ~exec shards;
+  let next () =
+    Option.map (fun (k, (s : Shard.t)) -> (k, s.Shard.index)) (Pool.next pool)
+  in
+  let check_next msg want =
+    Alcotest.(check (option (pair string int))) msg want (next ())
+  in
+  check_next "a first" (Some ("a", 0));
+  check_next "then b" (Some ("b", 0));
+  check_bool "nothing executed" true (Pool.ready pool = []);
+  Pool.requeue pool ~key:"a" (List.hd shards);
+  check_next "requeued shard goes first" (Some ("a", 0));
+  Pool.remove pool ~key:"b";
+  List.iter
+    (fun i -> check_next "only a's pending shards remain" (Some ("a", i)))
+    [ 1; 2; 3 ];
+  check_next "drained" None;
+  check_bool "no result can arrive" true (Pool.await pool = None);
+  Pool.close pool
+
 let () =
   Alcotest.run "orchestrator"
     [
@@ -513,7 +576,11 @@ let () =
             test_graceful_stop_then_resume;
           Alcotest.test_case "provenance mismatch" `Slow
             test_resume_rejects_mismatched_provenance;
+          Alcotest.test_case "jobs 1 stop from progress" `Slow
+            test_jobs1_stop_from_progress;
         ] );
+      ( "pool",
+        [ Alcotest.test_case "zero workers" `Quick test_pool_zero_workers ] );
       ( "merge",
         [
           Alcotest.test_case "telemetry merge" `Slow test_telemetry_merge;

@@ -6,7 +6,7 @@
 
 module Jobspec = O4a_server.Jobspec
 module Protocol = O4a_server.Protocol
-module Scheduler = O4a_server.Scheduler
+module Scheduler = Orchestrator.Scheduler
 module Daemon = O4a_server.Daemon
 module Client = O4a_server.Client
 module Addr = O4a_server.Addr

@@ -126,6 +126,24 @@ grep -v '^resumed ' "$out/g_resumed.log" | diff "$out/g_full.log" - || {
 diff "$out/gfull.csv" "$out/gresumed.csv" || {
   echo "FAIL: analytics series after SIGTERM+resume differs from the \
 uninterrupted run"; exit 1; }
+# --jobs 1 runs on the same shard pool as any other --jobs value: SIGTERM
+# drains it at a shard boundary too, and the resume lands on the same report
+"$cli" fuzz --budget 2000 --shard-size 100 --jobs 1 \
+  --checkpoint "$out/g1cp.json" > "$out/g1_stop.log" &
+g1pid=$!
+sleep 1
+kill -TERM "$g1pid" 2>/dev/null || true
+wait "$g1pid" || {
+  echo "FAIL: SIGTERM-stopped --jobs 1 campaign exited nonzero"
+  cat "$out/g1_stop.log"; exit 1; }
+grep -q "stopped gracefully" "$out/g1_stop.log" || {
+  echo "FAIL: --jobs 1 campaign finished before the signal landed (or drain \
+message missing)"
+  cat "$out/g1_stop.log"; exit 1; }
+"$cli" resume --checkpoint "$out/g1cp.json" --jobs 1 > "$out/g1_resumed.log"
+grep -v '^resumed ' "$out/g1_resumed.log" | diff "$out/g_full.log" - || {
+  echo "FAIL: --jobs 1 resume after SIGTERM differs from the uninterrupted run"
+  exit 1; }
 
 echo "== Sick solver: breakers trip identically at --jobs 1 and --jobs 4 =="
 sick_flags="--chaos solver_hang --chaos-rate 1.0 --chaos-seed 7 \
